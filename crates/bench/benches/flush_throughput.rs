@@ -1,12 +1,8 @@
 //! Criterion benchmarks of write-path throughput: how fast dirty data
-//! reaches the device, comparing the zero-copy gather writer
-//! (`gather_writes = true`, the default) against the legacy
-//! assemble-into-a-staging-buffer writer it replaced. Both produce
-//! byte-identical disk images (see the `coalesced_write_equivalence`
-//! tests); the difference under measurement is purely host-side copying
-//! and allocation, which is why the device is a `MemDisk` with no timing
-//! model. Each timed phase includes the syncs that flush it, so the chunk
-//! writers dominate the measurement.
+//! reaches the device through the zero-copy gather writer. The device is
+//! a `MemDisk` with no timing model, so the measurement is host-side
+//! copying and allocation only. Each timed phase includes the syncs that
+//! flush it, so the chunk writer dominates the measurement.
 
 use blockdev::MemDisk;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -15,14 +11,13 @@ use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
 const DISK_MB: u64 = 64;
 
-fn lfs_with(gather: bool) -> Lfs<MemDisk> {
-    let mut cfg = lfs_bench::production_lfs_config(DISK_MB);
-    cfg.gather_writes = gather;
+fn lfs() -> Lfs<MemDisk> {
+    let cfg = lfs_bench::production_lfs_config(DISK_MB);
     Lfs::format(MemDisk::new(DISK_MB * 256), cfg).unwrap()
 }
 
 /// Sequential 8 MB write plus the sync that flushes it — the data-heavy
-/// shape where gather saves one memcpy per block.
+/// shape, where every cached data block goes out without a copy.
 fn bench_seq_flush(c: &mut Criterion) {
     let large = LargeFileBench {
         file_bytes: 8 << 20,
@@ -30,25 +25,22 @@ fn bench_seq_flush(c: &mut Criterion) {
         seed: 0xf19,
     };
     let mut g = c.benchmark_group("flush_seq_write_8mb");
-    for (name, gather) in [("assembled", false), ("gather", true)] {
-        g.bench_function(name, |b| {
-            b.iter_batched_ref(
-                || lfs_with(gather),
-                |fs| {
-                    let ino = large.setup(fs).unwrap();
-                    large.run_phase(fs, ino, LargeFilePhase::SeqWrite).unwrap();
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    g.bench_function("gather", |b| {
+        b.iter_batched_ref(
+            lfs,
+            |fs| {
+                let ino = large.setup(fs).unwrap();
+                large.run_phase(fs, ino, LargeFilePhase::SeqWrite).unwrap();
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 
 /// Create-and-sync of many small files — metadata-heavy flushes (inode
-/// groups, imap, dirlog). Gather still borrows the data and dirlog
-/// blocks; the synthesized metadata renders into the reusable scratch
-/// pool instead of a fresh staging buffer per chunk.
+/// groups, imap, dirlog). The data and dirlog blocks are borrowed; the
+/// synthesized metadata renders into the reusable scratch pool.
 fn bench_small_flush(c: &mut Criterion) {
     let small = SmallFileBench {
         nfiles: 500,
@@ -56,15 +48,13 @@ fn bench_small_flush(c: &mut Criterion) {
         files_per_dir: 100,
     };
     let mut g = c.benchmark_group("flush_small_create_500");
-    for (name, gather) in [("assembled", false), ("gather", true)] {
-        g.bench_function(name, |b| {
-            b.iter_batched_ref(
-                || lfs_with(gather),
-                |fs| small.create_phase(fs).unwrap(),
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    g.bench_function("gather", |b| {
+        b.iter_batched_ref(
+            lfs,
+            |fs| small.create_phase(fs).unwrap(),
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

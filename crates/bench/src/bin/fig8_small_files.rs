@@ -8,6 +8,7 @@
 //!     the same disk.
 
 use blockdev::{BlockDevice, IoStats};
+use cleaner_sim::sweep;
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_bench::{
     append_jsonl, finish, or_die, paper_disk, smoke_mode, HostModel, PhaseMeasurement, Table,
@@ -109,7 +110,7 @@ fn main() -> std::process::ExitCode {
     // points — each formats its own fresh paper disk — so they run on
     // worker threads and come back in input order, bit-identical to the
     // old back-to-back loop.
-    let mut runs = lfs_bench::sweep::run(2, |i| {
+    let mut runs = sweep::map_indexed(2, sweep::default_threads(), |i| {
         if i == 0 {
             run_lfs(&bench, &host)
         } else {

@@ -8,6 +8,7 @@
 //! (the blocks are scattered in the log, so the reads seek).
 
 use blockdev::{BlockDevice, IoStats};
+use cleaner_sim::sweep;
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_bench::{
     append_jsonl, finish, or_die, paper_disk, smoke_mode, HostModel, PhaseMeasurement, Table,
@@ -65,7 +66,9 @@ fn main() -> std::process::ExitCode {
     // The two systems are independent sweep points (each owns a fresh
     // paper disk), so they run on worker threads; results come back in
     // input order, bit-identical to running them back to back.
-    let mut runs = lfs_bench::sweep::run(2, |i| run(if i == 0 { "lfs" } else { "ffs" }));
+    let mut runs = sweep::map_indexed(2, sweep::default_threads(), |i| {
+        run(if i == 0 { "lfs" } else { "ffs" })
+    });
     let ffs = runs.pop().expect("ffs sweep point");
     let lfs = runs.pop().expect("lfs sweep point");
 

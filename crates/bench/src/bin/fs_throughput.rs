@@ -13,17 +13,21 @@
 //! `REPS` times and the best wall-clock time is kept, which filters
 //! scheduler noise the same way criterion's minimum-of-samples does.
 //!
-//! The default configuration is the tuned I/O path: coalesced reads plus a
+//! The configuration is the tuned I/O path: coalesced reads with a
 //! 32-block read-ahead window, and zero-copy gather writes. `--gate`
-//! additionally runs every mix with the legacy paths (`coalesced_reads =
-//! false`, `gather_writes = false`) on the same host and fails if the
-//! tuned path has regressed against it — a host-independent CI check,
-//! since both sides run in the same job. The tuned and legacy reps of a
-//! mix are interleaved so CPU-speed drift over the run biases both sides
-//! equally rather than whichever ran last. Alongside the wall-clock
-//! ratios, the gate checks a deterministic write-side counter: the gather
-//! path must copy strictly fewer host bytes (`lfs.flush_copy_bytes`) than
-//! the assemble-then-write path on the write-heavy mixes.
+//! fails the run if that path has regressed. It checks three things per
+//! mix against bounds recorded from the assemble-then-write, per-block
+//! read path this one replaced:
+//!
+//! - wall clock, host-independently: a same-job calibration (a raw
+//!   `MemDisk` block copy, scaled to the mix's bytes) is timed in between
+//!   the mix's reps, and the mix must reach [`GATE_MIN_RATIO`] of the
+//!   legacy throughput that calibration implies;
+//! - seq_read device read requests, which must stay at least 8x fewer
+//!   than the legacy per-block count (deterministic);
+//! - on the write-heavy mixes, host bytes memcpy'd into write buffers
+//!   (`lfs.flush_copy_bytes`), which must stay strictly below the legacy
+//!   count (deterministic).
 //!
 //! ```sh
 //! cargo run --release -p lfs-bench --bin fs_throughput -- <variant-label>
@@ -32,7 +36,7 @@
 
 use std::time::Instant;
 
-use blockdev::{BlockDevice, MemDisk, QueueDevice, QueuedDev};
+use blockdev::{BlockDevice, MemDisk, QueueDevice, QueuedDev, WriteKind, BLOCK_SIZE};
 use lfs_bench::{append_jsonl, or_die, smoke_mode, Table};
 use lfs_core::Lfs;
 use serde_json::json;
@@ -43,22 +47,44 @@ const REPS: u32 = 5;
 /// Read-ahead window of the tuned configuration, in blocks (128 KB).
 const READ_AHEAD_BLOCKS: u32 = 32;
 
-/// `--gate`: fail if a tuned mix falls below this fraction of the legacy
-/// per-block path's throughput.
+/// `--gate`: fail if a mix falls below this fraction of the legacy
+/// path's throughput.
 const GATE_MIN_RATIO: f64 = 0.8;
 
-/// `--gate`: the sequential-read-heavy mix must reach the device in at
-/// least this factor fewer read requests than the per-block path, or
-/// coalescing has stopped batching. (Request counts are deterministic, so
-/// unlike a wall-clock ratio this check cannot flake: on a RAM-backed
-/// `MemDisk` a request costs next to nothing, which is exactly why the
-/// batching claim is checked on the request counter and not on time.)
-const GATE_MIN_READ_BATCHING: u64 = 8;
+/// Bytes each calibration rep copies; the per-mix calibration scales it
+/// to the mix's bytes.
+const CALIB_BYTES: u64 = 32 << 20;
 
-/// `--gate`: write-heavy mixes where the gather path must beat the legacy
-/// path on the deterministic host-copy counter (strictly fewer bytes
-/// memcpy'd into write buffers).
-const GATE_WRITE_MIXES: [&str; 2] = ["small_create", "seq_write"];
+/// Size of the calibration disk (8 MiB): the copy wraps around it, so
+/// memory stays bounded and the timed loop pays no page faults.
+const CALIB_DISK_BLOCKS: u64 = 2048;
+
+/// `--gate`: each mix's best-rep wall time on the removed legacy path
+/// (per-block reads, assemble-then-write), in units of the same-job
+/// calibration, as `(mix, smoke, full scale)`: the median of 20 smoke and
+/// 6 full-scale runs on a 2-vCPU Intel Xeon host.
+const LEGACY_CALIB_MULTIPLES: [(&str, f64, f64); 5] = [
+    ("small_create", 197.0, 212.0),
+    ("small_read", 22.3, 24.3),
+    ("small_delete", 83.4, 159.0),
+    ("seq_write", 29.9, 29.9),
+    ("seq_read", 3.7, 5.3),
+];
+
+/// `--gate`: most device read requests seq_read may issue, as `(smoke,
+/// full scale)`: the legacy per-block counts (4108 and 65672) divided by
+/// 8, so coalescing must keep batching at least 8x. Request counts are
+/// deterministic, so unlike a wall-clock ratio this check cannot flake.
+const MAX_SEQ_READ_REQUESTS: (u64, u64) = (513, 8209);
+
+/// `--gate`: host bytes the legacy assemble-then-write path memcpy'd into
+/// write buffers on the write-heavy mixes, as `(mix, smoke, full scale)`.
+/// The gather path copies only synthesized metadata, never cached data,
+/// so it must stay strictly below (deterministic, like the read count).
+const LEGACY_COPY_BYTES: [(&str, u64, u64); 2] = [
+    ("small_create", 9_330_688, 46_608_384),
+    ("seq_write", 8_904_704, 70_991_872),
+];
 
 /// `--gate`: the seq_write mix behind a depth-8 submission ring must keep
 /// at least this mean in-flight depth, or flushes have stopped actually
@@ -73,19 +99,43 @@ const GATE_MIN_QUEUE_DEPTH: f64 = 1.5;
 /// timeline is simulated.
 const GATE_MIN_OVERLAP_RATIO: f64 = 1.15;
 
-fn mem_lfs(mb: u64, tuned: bool) -> Lfs<MemDisk> {
+fn mem_lfs(mb: u64) -> Lfs<MemDisk> {
     let mut cfg = lfs_bench::production_lfs_config(mb);
-    if tuned {
-        cfg.read_ahead_blocks = READ_AHEAD_BLOCKS;
-    } else {
-        cfg.coalesced_reads = false;
-        cfg.read_ahead_blocks = 0;
-        cfg.gather_writes = false;
-    }
+    cfg.read_ahead_blocks = READ_AHEAD_BLOCKS;
     or_die(
         "format LFS on MemDisk",
         Lfs::format(MemDisk::new(mb * 256), cfg),
     )
+}
+
+/// Times a raw block copy of `bytes` through a `MemDisk`: every block is
+/// written, then read back, in passes of at most [`CALIB_DISK_BLOCKS`].
+fn calibrate(bytes: u64) -> u128 {
+    let mut disk = MemDisk::new(CALIB_DISK_BLOCKS);
+    let mut buf = [0xa5u8; BLOCK_SIZE];
+    for b in 0..CALIB_DISK_BLOCKS {
+        or_die(
+            "calibration write",
+            disk.write_block(b, &buf, WriteKind::Async),
+        );
+    }
+    let mut left = bytes.div_ceil(BLOCK_SIZE as u64);
+    let t = Instant::now();
+    while left > 0 {
+        let n = left.min(CALIB_DISK_BLOCKS);
+        for b in 0..n {
+            or_die(
+                "calibration write",
+                disk.write_block(b, &buf, WriteKind::Async),
+            );
+        }
+        for b in 0..n {
+            or_die("calibration read", disk.read_block(b, &mut buf));
+        }
+        left -= n;
+    }
+    std::hint::black_box(&buf);
+    t.elapsed().as_nanos()
 }
 
 struct MixResult {
@@ -99,6 +149,8 @@ struct MixResult {
     /// Host bytes the flush path memcpy'd into write buffers during the
     /// timed phase (deterministic, like `dev_reads`).
     copy_bytes: u64,
+    /// Best calibration time scaled to the mix's bytes (`--gate` only).
+    calib_ns: u128,
 }
 
 impl MixResult {
@@ -130,12 +182,12 @@ fn probe(fs: &Lfs<MemDisk>) -> Counters {
     }
 }
 
-/// One workload mix: `run(tuned)` builds fresh state and times the phase.
+/// One workload mix: `run()` builds fresh state and times the phase.
 struct MixSpec {
     name: &'static str,
     ops: u64,
     bytes: u64,
-    run: Box<dyn Fn(bool) -> Sample>,
+    run: Box<dyn Fn() -> Sample>,
 }
 
 fn timed<S>(
@@ -185,9 +237,9 @@ fn mix_specs() -> Vec<MixSpec> {
             name: "small_create",
             ops: sops,
             bytes: sbytes,
-            run: Box::new(move |tuned| {
+            run: Box::new(move || {
                 timed(
-                    || mem_lfs(disk_mb, tuned),
+                    || mem_lfs(disk_mb),
                     |fs| or_die("small create", small.create_phase(fs)),
                     probe,
                 )
@@ -197,10 +249,10 @@ fn mix_specs() -> Vec<MixSpec> {
             name: "small_read",
             ops: sops,
             bytes: sbytes,
-            run: Box::new(move |tuned| {
+            run: Box::new(move || {
                 timed(
                     || {
-                        let mut fs = mem_lfs(disk_mb, tuned);
+                        let mut fs = mem_lfs(disk_mb);
                         or_die("small create", small.create_phase(&mut fs));
                         fs.drop_caches();
                         fs
@@ -214,10 +266,10 @@ fn mix_specs() -> Vec<MixSpec> {
             name: "small_delete",
             ops: sops,
             bytes: sbytes,
-            run: Box::new(move |tuned| {
+            run: Box::new(move || {
                 timed(
                     || {
-                        let mut fs = mem_lfs(disk_mb, tuned);
+                        let mut fs = mem_lfs(disk_mb);
                         or_die("small create", small.create_phase(&mut fs));
                         fs
                     },
@@ -233,9 +285,9 @@ fn mix_specs() -> Vec<MixSpec> {
             name: "seq_write",
             ops: lops,
             bytes: large.file_bytes,
-            run: Box::new(move |tuned| {
+            run: Box::new(move || {
                 timed(
-                    || mem_lfs(disk_mb, tuned),
+                    || mem_lfs(disk_mb),
                     |fs| {
                         let ino = or_die("large setup", large.setup(fs));
                         or_die(
@@ -251,10 +303,10 @@ fn mix_specs() -> Vec<MixSpec> {
             name: "seq_read",
             ops: lops * read_passes,
             bytes: large.file_bytes * read_passes,
-            run: Box::new(move |tuned| {
+            run: Box::new(move || {
                 timed(
                     || {
-                        let mut fs = mem_lfs(disk_mb, tuned);
+                        let mut fs = mem_lfs(disk_mb);
                         let ino = or_die("large setup", large.setup(&mut fs));
                         or_die(
                             "seq write",
@@ -278,55 +330,40 @@ fn mix_specs() -> Vec<MixSpec> {
     ]
 }
 
-/// Measures every mix, keeping each side's fastest rep. With `gate` the
-/// tuned and legacy reps alternate, so machine-speed drift cannot bias
-/// the comparison toward whichever side ran later.
-fn measure(gate: bool) -> (Vec<MixResult>, Vec<MixResult>) {
-    let mut tuned = Vec::new();
-    let mut legacy = Vec::new();
-    for spec in mix_specs() {
-        let mut best_tuned = Sample {
-            wall_ns: u128::MAX,
-            dev_reads: 0,
-            copy_bytes: 0,
-        };
-        let mut best_legacy = Sample {
-            wall_ns: u128::MAX,
-            dev_reads: 0,
-            copy_bytes: 0,
-        };
-        for _ in 0..REPS {
-            let s = (spec.run)(true);
-            if s.wall_ns < best_tuned.wall_ns {
-                best_tuned = s;
-            }
-            if gate {
-                let s = (spec.run)(false);
-                if s.wall_ns < best_legacy.wall_ns {
-                    best_legacy = s;
+/// Measures every mix, keeping its fastest rep. With `gate`, each rep is
+/// followed by a calibration rep, so machine-speed drift over the run
+/// moves both sides of the wall-clock check alike.
+fn measure(gate: bool) -> Vec<MixResult> {
+    mix_specs()
+        .into_iter()
+        .map(|spec| {
+            let mut best = Sample {
+                wall_ns: u128::MAX,
+                dev_reads: 0,
+                copy_bytes: 0,
+            };
+            let mut calib_ns = u128::MAX;
+            for _ in 0..REPS {
+                let s = (spec.run)();
+                if s.wall_ns < best.wall_ns {
+                    best = s;
+                }
+                if gate {
+                    let per_calib = calibrate(CALIB_BYTES);
+                    calib_ns = calib_ns.min(per_calib * spec.bytes as u128 / CALIB_BYTES as u128);
                 }
             }
-        }
-        tuned.push(MixResult {
-            mix: spec.name,
-            ops: spec.ops,
-            bytes: spec.bytes,
-            wall_ns: best_tuned.wall_ns,
-            dev_reads: best_tuned.dev_reads,
-            copy_bytes: best_tuned.copy_bytes,
-        });
-        if gate {
-            legacy.push(MixResult {
+            MixResult {
                 mix: spec.name,
                 ops: spec.ops,
                 bytes: spec.bytes,
-                wall_ns: best_legacy.wall_ns,
-                dev_reads: best_legacy.dev_reads,
-                copy_bytes: best_legacy.copy_bytes,
-            });
-        }
-    }
-    (tuned, legacy)
+                wall_ns: best.wall_ns,
+                dev_reads: best.dev_reads,
+                copy_bytes: best.copy_bytes,
+                calib_ns,
+            }
+        })
+        .collect()
 }
 
 fn print_results(title: &str, results: &[MixResult]) {
@@ -374,37 +411,51 @@ fn record(variant: &str, results: &[MixResult]) {
     }
 }
 
-/// Compares tuned vs legacy and returns the failures.
-fn gate_failures(tuned: &[MixResult], legacy: &[MixResult]) -> Vec<String> {
+/// Checks every mix against the recorded legacy bounds and returns the
+/// failures.
+fn gate_failures(results: &[MixResult]) -> Vec<String> {
+    let smoke = smoke_mode();
     let mut failures = Vec::new();
-    for (t, l) in tuned.iter().zip(legacy) {
-        let ratio = t.ops_per_sec() / l.ops_per_sec();
+    for r in results {
+        let legacy_calib = LEGACY_CALIB_MULTIPLES
+            .iter()
+            .find(|e| e.0 == r.mix)
+            .map(|&(_, s, f)| if smoke { s } else { f })
+            .expect("every mix has a legacy calibration multiple");
+        // The legacy throughput this job's calibration implies.
+        let ratio = legacy_calib * r.calib_ns as f64 / r.wall_ns as f64;
         println!(
-            "  {:<14} tuned/legacy = {ratio:.2}x  dev reads {} vs {}  copy bytes {} vs {}",
-            t.mix, t.dev_reads, l.dev_reads, t.copy_bytes, l.copy_bytes
+            "  {:<14} {:.1}x calibration = {ratio:.2}x legacy  dev reads {}  copy bytes {}",
+            r.mix,
+            r.wall_ns as f64 / r.calib_ns as f64,
+            r.dev_reads,
+            r.copy_bytes
         );
         if ratio < GATE_MIN_RATIO {
             failures.push(format!(
-                "{}: tuned path is {ratio:.2}x the legacy path (floor {GATE_MIN_RATIO})",
-                t.mix
+                "{}: {ratio:.2}x the legacy throughput implied by calibration \
+                 (floor {GATE_MIN_RATIO})",
+                r.mix
             ));
         }
-        if t.mix == "seq_read" && t.dev_reads * GATE_MIN_READ_BATCHING > l.dev_reads {
+        let (smoke_reads, full_reads) = MAX_SEQ_READ_REQUESTS;
+        let max_reads = if smoke { smoke_reads } else { full_reads };
+        if r.mix == "seq_read" && r.dev_reads > max_reads {
             failures.push(format!(
-                "seq_read: {} coalesced read requests vs {} per-block — \
-                 batching fell below {GATE_MIN_READ_BATCHING}x",
-                t.dev_reads, l.dev_reads
+                "seq_read: {} read requests, above {max_reads} — batching fell below 8x \
+                 the per-block path",
+                r.dev_reads
             ));
         }
-        // Deterministic write-side check: on write-heavy mixes the gather
-        // path must stage strictly fewer host bytes than assemble-then-
-        // write (it copies only synthesized metadata, never cached data).
-        if GATE_WRITE_MIXES.contains(&t.mix) && t.copy_bytes >= l.copy_bytes {
-            failures.push(format!(
-                "{}: gather path copied {} bytes vs {} legacy — \
-                 zero-copy writes are not saving host copies",
-                t.mix, t.copy_bytes, l.copy_bytes
-            ));
+        for &(mix, smoke_bytes, full_bytes) in &LEGACY_COPY_BYTES {
+            let legacy = if smoke { smoke_bytes } else { full_bytes };
+            if r.mix == mix && r.copy_bytes >= legacy {
+                failures.push(format!(
+                    "{mix}: copied {} host bytes vs {legacy} on assemble-then-write — \
+                     zero-copy writes are not saving host copies",
+                    r.copy_bytes
+                ));
+            }
         }
     }
     failures
@@ -494,18 +545,13 @@ fn main() -> std::process::ExitCode {
     let smoke = smoke_mode();
     let suffix = if smoke { " [smoke]" } else { "" };
 
-    let (tuned, legacy) = measure(gate);
-    print_results(&format!("fs_throughput ({variant}){suffix}"), &tuned);
-    record(&variant, &tuned);
+    let results = measure(gate);
+    print_results(&format!("fs_throughput ({variant}){suffix}"), &results);
+    record(&variant, &results);
 
     if gate {
-        print_results(
-            &format!("\nfs_throughput (legacy per-block path){suffix}"),
-            &legacy,
-        );
-        record(&format!("{variant}-legacy"), &legacy);
-        println!("\ngate: tuned vs legacy");
-        let mut failures = gate_failures(&tuned, &legacy);
+        println!("\ngate: against the recorded legacy path");
+        let mut failures = gate_failures(&results);
         println!("gate: submission-queue overlap");
         failures.extend(overlap_gate_failures());
         if !failures.is_empty() {

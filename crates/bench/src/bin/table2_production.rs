@@ -11,6 +11,7 @@
 //! simulation's predictions — because real workloads delete whole files
 //! and leave many segments entirely empty.
 
+use cleaner_sim::sweep;
 use lfs_bench::{append_jsonl, disk_mb, finish, or_die, smoke_mode, Table};
 use lfs_core::Lfs;
 use vfs::FileSystem;
@@ -50,7 +51,7 @@ fn main() -> std::process::ExitCode {
         avg_nonempty_u: f64,
         write_cost: f64,
     }
-    let results = lfs_bench::sweep::run(models.len(), |i| {
+    let results = sweep::map_indexed(models.len(), sweep::default_threads(), |i| {
         let model = models[i];
         let cfg = lfs_bench::production_lfs_config(mb);
         let mut fs = or_die("format LFS", Lfs::format(disk_mb(mb), cfg));

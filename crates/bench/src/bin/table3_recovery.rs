@@ -11,6 +11,7 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use blockdev::{BlockDevice, DiskModel, SimDisk};
+use cleaner_sim::sweep;
 use lfs_bench::{append_jsonl, finish, or_die, smoke_mode, Table};
 use lfs_core::{Lfs, LfsConfig};
 use vfs::FileSystem;
@@ -70,7 +71,7 @@ fn main() -> std::process::ExitCode {
         .iter()
         .flat_map(|&(fsz, _)| amounts.iter().map(move |&(total, _)| (fsz, total)))
         .collect();
-    let results = lfs_bench::sweep::run(cells.len(), |i| {
+    let results = sweep::map_indexed(cells.len(), sweep::default_threads(), |i| {
         let (fsz, total) = cells[i];
         recovery_seconds(fsz, total)
     });

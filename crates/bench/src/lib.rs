@@ -19,7 +19,6 @@
 pub mod host;
 pub mod output;
 pub mod queue;
-pub mod sweep;
 pub mod volume;
 
 pub use host::{HostModel, PhaseMeasurement};

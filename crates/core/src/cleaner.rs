@@ -35,9 +35,8 @@ use crate::usage::SegState;
 /// What a policy may observe about the candidate population before
 /// scoring individual segments: the live segment-utilization
 /// distribution, summarized. Greedy and cost-benefit ignore it (their
-/// scores are per-segment functions, which keeps them bit-identical to
-/// the pre-trait cleaner); the adaptive policy reads it to blend between
-/// the two regimes and to pace itself.
+/// scores are per-segment functions); the adaptive policy reads it to
+/// blend between the two regimes and to pace itself.
 #[derive(Clone, Copy, Debug)]
 pub struct PolicyCtx {
     /// Mean utilization of the dirty (cleanable) segments.
@@ -48,102 +47,57 @@ pub struct PolicyCtx {
     pub clean_frac: f64,
 }
 
-impl Default for PolicyCtx {
-    fn default() -> Self {
-        PolicyCtx {
-            mean_util: 0.5,
-            mean_age: 1.0,
-            clean_frac: 0.5,
+/// Victim selection and pacing (§3.4–3.6 generalized): each policy
+/// scores candidate segments and decides how many to take per pass.
+///
+/// The adaptive policy follows Lomet & Luo. Cost-benefit's fixed `age`
+/// weighting has two failure modes: when the disk is mostly empty it
+/// passes over nearly-free segments in favour of old half-full ones
+/// (copying for no reason), and its age term has dimensions of raw clock
+/// ticks, so its strength varies with geometry and workload rate.
+/// Adaptive fixes both by reading the candidate population: ages are
+/// normalized by the population mean (scale-free), and the age term is
+/// weighted by the population's mean utilization — on an emptyish disk
+/// (low mean utilization) it scores almost purely on free space like
+/// greedy, while on a full disk it leans on age like cost-benefit, where
+/// hot/cold segregation matters most. Pacing scales with the
+/// clean-segment deficit so a nearly-wedged disk cleans in bigger
+/// installments and an idle one in smaller.
+impl CleaningPolicy {
+    /// Short name for traces, metrics and benches.
+    pub fn name(self) -> &'static str {
+        match self {
+            CleaningPolicy::Greedy => "greedy",
+            CleaningPolicy::CostBenefit => "cost-benefit",
+            CleaningPolicy::Adaptive => "adaptive",
         }
     }
-}
 
-/// A victim-selection and pacing policy (§3.4–3.6 generalized): scores
-/// candidate segments and decides how many to take per pass.
-pub trait CleanPolicy {
-    /// Short name for traces and benches.
-    fn name(&self) -> &'static str;
     /// Ranks a segment for cleaning: higher is better. `u` is the
     /// segment's utilization and `age` the time since its youngest block
-    /// was written.
-    fn rank(&self, u: f64, age: u64, ctx: &PolicyCtx) -> f64;
-    /// How many segments to pick this pass, given the configured base.
-    fn pace(&self, base: u32, _ctx: &PolicyCtx) -> u32 {
-        base
-    }
-}
-
-/// Always clean the least-utilized segments (§3.4).
-pub struct Greedy;
-
-impl CleanPolicy for Greedy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-    fn rank(&self, u: f64, _age: u64, _ctx: &PolicyCtx) -> f64 {
-        1.0 - u
-    }
-}
-
-/// The paper's cost-benefit policy `(1-u)*age/(1+u)` (§3.5).
-pub struct CostBenefit;
-
-impl CleanPolicy for CostBenefit {
-    fn name(&self) -> &'static str {
-        "cost-benefit"
-    }
-    fn rank(&self, u: f64, age: u64, _ctx: &PolicyCtx) -> f64 {
-        (1.0 - u) * age as f64 / (1.0 + u)
-    }
-}
-
-/// Utilization-distribution-adaptive policy (Lomet & Luo).
-///
-/// Cost-benefit's fixed `age` weighting has two failure modes: when the
-/// disk is mostly empty it passes over nearly-free segments in favour of
-/// old half-full ones (copying for no reason), and its age term has
-/// dimensions of raw clock ticks, so its strength varies with geometry
-/// and workload rate. `Adaptive` fixes both by reading the candidate
-/// population: ages are normalized by the population mean (scale-free),
-/// and the age term is weighted by the population's mean utilization —
-/// on an emptyish disk (low mean utilization) it scores almost purely on
-/// free space like greedy, while on a full disk it leans on age like
-/// cost-benefit, where hot/cold segregation matters most. Pacing scales
-/// with the clean-segment deficit so a nearly-wedged disk cleans in
-/// bigger installments and an idle one in smaller.
-pub struct Adaptive;
-
-impl CleanPolicy for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn rank(&self, u: f64, age: u64, ctx: &PolicyCtx) -> f64 {
-        let age_norm = age as f64 / ctx.mean_age.max(1.0);
-        (1.0 - u) / (1.0 + u) * (1.0 + age_norm * ctx.mean_util)
-    }
-    fn pace(&self, base: u32, ctx: &PolicyCtx) -> u32 {
-        let deficit = (1.0 - ctx.clean_frac).clamp(0.0, 1.0);
-        ((base as f64 * (0.5 + 1.5 * deficit)).round() as u32).max(1)
-    }
-}
-
-impl CleaningPolicy {
-    /// The policy implementation this configuration value selects.
-    pub fn as_policy(self) -> &'static dyn CleanPolicy {
+    /// was written. Greedy takes the least-utilized segment (§3.4);
+    /// cost-benefit is the paper's `(1-u)*age/(1+u)` (§3.5).
+    pub fn rank(self, u: f64, age: u64, ctx: &PolicyCtx) -> f64 {
         match self {
-            CleaningPolicy::Greedy => &Greedy,
-            CleaningPolicy::CostBenefit => &CostBenefit,
-            CleaningPolicy::Adaptive => &Adaptive,
+            CleaningPolicy::Greedy => 1.0 - u,
+            CleaningPolicy::CostBenefit => (1.0 - u) * age as f64 / (1.0 + u),
+            CleaningPolicy::Adaptive => {
+                let age_norm = age as f64 / ctx.mean_age.max(1.0);
+                (1.0 - u) / (1.0 + u) * (1.0 + age_norm * ctx.mean_util)
+            }
         }
     }
-}
 
-/// Ranks a segment for cleaning under `policy` with a neutral
-/// population context: higher is better. The single place the real
-/// cleaner, the simulator comparisons, and external analysis share for
-/// the fixed (non-adaptive) policies.
-pub fn rank(policy: CleaningPolicy, u: f64, age: u64) -> f64 {
-    policy.as_policy().rank(u, age, &PolicyCtx::default())
+    /// How many segments to pick this pass, given the configured base.
+    pub fn pace(self, base: u32, ctx: &PolicyCtx) -> u32 {
+        match self {
+            CleaningPolicy::Greedy | CleaningPolicy::CostBenefit => base,
+            CleaningPolicy::Adaptive => {
+                let deficit = (1.0 - ctx.clean_frac).clamp(0.0, 1.0);
+                ((base as f64 * (0.5 + 1.5 * deficit)).round() as u32).max(1)
+            }
+        }
+    }
 }
 
 /// Max-heap entry for candidate selection: `(score, seg, live_bytes)`
@@ -321,7 +275,7 @@ impl<D: QueueDevice> Lfs<D> {
     fn select_candidates(&self) -> Vec<u32> {
         let seg_bytes = self.cfg.seg_bytes();
         let now = self.clock;
-        let pol = self.cfg.policy.as_policy();
+        let pol = self.cfg.policy;
         // Summarize the candidate population for the policy: the live
         // utilization distribution of the dirty segments plus the free
         // fraction. The fixed policies ignore it, so computing it does

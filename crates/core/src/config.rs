@@ -16,7 +16,7 @@ pub enum CleaningPolicy {
     /// distribution of the candidate set (Lomet & Luo): greedy-like when
     /// segments are mostly empty, cost-benefit-like as the disk fills,
     /// with scale-free ages so the blend is geometry-independent. See
-    /// [`crate::cleaner::Adaptive`].
+    /// [`CleaningPolicy::rank`] and [`CleaningPolicy::pace`].
     Adaptive,
 }
 
@@ -82,18 +82,11 @@ pub struct LfsConfig {
     /// utilization is very low (we haven't tried this in Sprite LFS)"
     /// (§3.4). 0.0 disables it, matching Sprite; see the ablation bench.
     pub read_live_threshold: f64,
-    /// Fetch runs of file blocks with contiguous disk addresses as one
-    /// device request instead of one request per block. The coalesced path
-    /// is exactly equivalent — same bytes, same simulated service time
-    /// (see [`blockdev::BlockDevice::read_run`]), same cache/eviction
-    /// behaviour — so this exists only to keep the legacy per-block path
-    /// testable against it.
-    pub coalesced_reads: bool,
-    /// Extend a coalesced read run by up to this many blocks past the
-    /// requested range, as long as the addresses stay contiguous and the
-    /// blocks are not already cached. 0 disables read-ahead, which keeps
-    /// the set of blocks fetched — and therefore the figure benchmarks —
-    /// bit-identical to the per-block path.
+    /// Extend a read run by up to this many blocks past the requested
+    /// range, as long as the addresses stay contiguous and the blocks are
+    /// not already cached. 0 disables read-ahead, so a read fetches
+    /// exactly the blocks it covers — which keeps the simulated disk time
+    /// of the figure benchmarks fixed.
     pub read_ahead_blocks: u32,
     /// Number of temperature-keyed write streams per shard (hot → cold).
     /// 1 (the default) keeps the single write point per shard and is
@@ -103,14 +96,6 @@ pub struct LfsConfig {
     /// §3.4 applied at placement time). Capped at
     /// [`crate::stats::MAX_STREAMS`].
     pub streams: u32,
-    /// Hand data blocks to the device as borrowed slices (one gather
-    /// request per partial write) instead of assembling a fresh
-    /// contiguous buffer first. The gather path is exactly equivalent —
-    /// same bytes on disk, same simulated service time (see
-    /// [`blockdev::BlockDevice::write_run_gather`]) — it only removes
-    /// host-side copies, so this flag exists to keep the legacy
-    /// assemble-and-write path testable against it.
-    pub gather_writes: bool,
 }
 
 impl LfsConfig {
@@ -130,10 +115,8 @@ impl LfsConfig {
             checkpoint_every_bytes: 8 << 20,
             cache_limit_bytes: 64 << 20,
             read_live_threshold: 0.0,
-            coalesced_reads: true,
             read_ahead_blocks: 0,
             streams: 1,
-            gather_writes: true,
         }
     }
 
@@ -155,10 +138,8 @@ impl LfsConfig {
             checkpoint_every_bytes: 1 << 20,
             cache_limit_bytes: 8 << 20,
             read_live_threshold: 0.0,
-            coalesced_reads: true,
             read_ahead_blocks: 0,
             streams: 1,
-            gather_writes: true,
         }
     }
 

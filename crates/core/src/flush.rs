@@ -507,11 +507,8 @@ impl<D: QueueDevice> Lfs<D> {
             let chunk_items = &items[item_idx..item_idx + c.n_items];
             let chunk_addrs = &addrs[item_idx..item_idx + c.n_items];
             let start = self.sb.seg_start(c.seg) + c.off as u64;
-            written = if self.cfg.gather_writes {
-                self.write_chunk_gather(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?
-            } else {
-                self.write_chunk_assembled(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?
-            };
+            written =
+                self.write_chunk_gather(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?;
             if !by_cleaner {
                 self.bytes_since_checkpoint += ((1 + c.n_items) * BLOCK_SIZE) as u64;
             }
@@ -555,10 +552,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// directory-log blocks go to the device as borrowed slices straight
     /// from the cache; only genuinely synthesized blocks (the summary,
     /// inode groups, indirect/imap/usage encodes) are rendered, into the
-    /// reusable scratch pool. Produces byte-for-byte the same disk image —
-    /// and, on the simulated disk, the same service time — as
-    /// [`Lfs::write_chunk_assembled`], minus one host copy per cached
-    /// block.
+    /// reusable scratch pool, so the host copies only what it synthesizes
+    /// (`LfsStats::flush_copy_bytes`). On the simulated disk the request
+    /// costs what one contiguous write of the same blocks would.
     ///
     /// On a queued device (ring capacity > 1) the chunk is *submitted*
     /// instead of written: cached data blocks ride along as `Arc` clones
@@ -755,103 +751,6 @@ impl<D: QueueDevice> Lfs<D> {
         drop(bufs);
         self.scratch = owned_scratch;
         res.map(|()| sealed.submitted())
-    }
-
-    /// The legacy chunk writer: assembles the whole chunk into one fresh
-    /// contiguous buffer and issues a plain `write_blocks`. Kept (behind
-    /// `LfsConfig::gather_writes = false`) as the reference the gather
-    /// path is tested byte-for-byte against.
-    #[allow(clippy::too_many_arguments)]
-    fn write_chunk_assembled(
-        &mut self,
-        items: &[Item],
-        addrs: &[DiskAddr],
-        start: u64,
-        seq: u64,
-        time: u64,
-        by_cleaner: bool,
-    ) -> FsResult<Flush<DataWritten>> {
-        let staged = Flush::stage();
-        let mut entries = Vec::with_capacity(items.len());
-        let mut buf = vec![0u8; (1 + items.len()) * BLOCK_SIZE];
-        for (j, item) in items.iter().enumerate() {
-            let dst = &mut buf[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
-            let mut entry = match item {
-                Item::DirLog(data) => {
-                    dst.copy_from_slice(data);
-                    SummaryEntry::meta(EntryKind::DirLog, 0, time)
-                }
-                Item::Data { ino, bno } => {
-                    let b = &self.blocks[&(*ino, *bno)];
-                    dst.copy_from_slice(&b.data);
-                    SummaryEntry::data(*ino, *bno as u32, self.imap.version(*ino), b.mtime)
-                }
-                Item::Ind { ino, key } => {
-                    let e = &self.inds[&(*ino, *key)];
-                    dst.copy_from_slice(&e.blk.encode());
-                    match key {
-                        IndKey::Single(k) => SummaryEntry {
-                            kind: EntryKind::Indirect1,
-                            ino: *ino,
-                            offset: *k,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                        IndKey::Double => SummaryEntry {
-                            kind: EntryKind::Indirect2,
-                            ino: *ino,
-                            offset: 0,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                    }
-                }
-                Item::InodeBlk { inos } => {
-                    for (slot, &ino) in inos.iter().enumerate() {
-                        let inode = &self.inodes[&ino].inode;
-                        inode.encode_into(
-                            &mut dst[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE],
-                        );
-                    }
-                    SummaryEntry::meta(EntryKind::InodeBlock, 0, time)
-                }
-                Item::Imap(idx) => {
-                    dst.copy_from_slice(&self.imap.encode_block(*idx));
-                    SummaryEntry::meta(EntryKind::ImapBlock, *idx as u32, time)
-                }
-                Item::Usage(idx) => {
-                    self.usage.block_written(*idx, addrs[j]);
-                    dst.copy_from_slice(&self.usage.encode_block(*idx));
-                    SummaryEntry::meta(EntryKind::UsageBlock, *idx as u32, time)
-                }
-            };
-            // Per-block content checksum: roll-forward refuses to
-            // replay a chunk whose blocks do not all verify, so a
-            // torn segment write is indistinguishable from the end
-            // of the log instead of being replayed as garbage.
-            entry.csum = crate::codec::block_checksum(dst);
-            self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-            self.stats
-                .add_log_bytes(entry_stats_kind(item), BLOCK_SIZE as u64, by_cleaner);
-            entries.push(entry);
-        }
-        let summary = Summary {
-            epoch: self.epoch,
-            seq,
-            write_time: time,
-            entries,
-        };
-        buf[..BLOCK_SIZE].copy_from_slice(&summary.encode());
-        let sealed = staged.seal_summary();
-        self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-        self.stats
-            .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
-        // Bounded retry: transient device errors must not abort a
-        // flush that the cache can simply reissue.
-        self.write_retry(start, &buf, WriteKind::Async)
-            .map(|()| sealed.submitted())
     }
 
     fn maybe_evict_after_flush(&mut self) {

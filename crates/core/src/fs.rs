@@ -1023,7 +1023,7 @@ impl<D: QueueDevice> Lfs<D> {
         // are already resolvable from cached state and stay contiguous.
         // Stops at holes, cached blocks, pointers that would need their
         // own device read, and end of file — so with the default window
-        // of 0 the fetched block set is identical to the per-block path.
+        // of 0 exactly the blocks of the request are fetched.
         if self.cfg.read_ahead_blocks > 0 && run.is_some() {
             let file_blocks = blocks_for_size(self.inode_ref(ino)?.size);
             let limit = last.saturating_add(self.cfg.read_ahead_blocks as u64);
@@ -1318,13 +1318,8 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// The shared read path.
-    ///
-    /// With [`LfsConfig::coalesced_reads`] (the default) the missing
-    /// blocks of the range are fetched up front in contiguous-address
-    /// runs; otherwise each block is fetched on its own as the copy loop
-    /// reaches it. Both paths return the same bytes, leave the cache in
-    /// the same state, and cost the same simulated device time.
+    /// The shared read path: the missing blocks of the range are fetched
+    /// up front in contiguous-address runs, then copied out of the cache.
     pub(crate) fn read_internal(
         &mut self,
         ino: Ino,
@@ -1336,11 +1331,9 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(0);
         }
         let n = buf.len().min((size - offset) as usize);
-        if self.cfg.coalesced_reads {
-            let first = offset / BLOCK_SIZE as u64;
-            let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
-            self.fetch_blocks(ino, first, last)?;
-        }
+        let first = offset / BLOCK_SIZE as u64;
+        let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
+        self.fetch_blocks(ino, first, last)?;
         let mut pos = 0usize;
         while pos < n {
             let abs = offset + pos as u64;
@@ -1351,9 +1344,8 @@ impl<D: QueueDevice> Lfs<D> {
                 buf[pos..pos + len].copy_from_slice(&b.data[off_in..off_in + len]);
                 pos += len;
             } else {
-                // The per-block path lands here for every miss; the
-                // coalesced path only when a cache smaller than the
-                // request evicted a block between fetch and copy.
+                // Only when a cache smaller than the request evicted a
+                // block between fetch and copy.
                 self.ensure_block(ino, bno)?;
             }
         }

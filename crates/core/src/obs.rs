@@ -132,11 +132,8 @@ impl<D: QueueDevice> Lfs<D> {
         );
         // Active selection policy, as a presence marker (`lfstop` probes
         // the known names): counters carry no string labels.
-        reg.counter(&format!(
-            "lfs.cleaner.policy.{}",
-            self.cfg.policy.as_policy().name()
-        ))
-        .store(1);
+        reg.counter(&format!("lfs.cleaner.policy.{}", self.cfg.policy.name()))
+            .store(1);
         let q = self.dev.queue_stats();
         if q.submitted > 0 {
             reg.counter("queue.submitted").store(q.submitted);
@@ -244,8 +241,6 @@ impl LfsStats {
         reg.counter("lfs.cleaner.segments_empty")
             .store(c.segments_empty);
         reg.counter("lfs.cleaner.bytes_read").store(c.bytes_read);
-        reg.counter("lfs.cleaner.bytes_written")
-            .store(c.bytes_written);
         reg.counter("lfs.cleaner.passes").store(c.passes);
         reg.gauge("lfs.cleaner.utilization_sum")
             .set(c.utilization_sum);

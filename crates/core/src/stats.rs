@@ -74,10 +74,9 @@ pub struct CleanerStats {
     /// Sum of the utilizations of the *non-empty* cleaned segments (for
     /// the "Avg" column of Table 2).
     pub utilization_sum: f64,
-    /// Bytes read from disk by the cleaner.
+    /// Bytes read from disk by the cleaner. (What it writes back is
+    /// counted per block kind in [`LfsStats::log_bytes_cleaner`].)
     pub bytes_read: u64,
-    /// Live bytes written back by the cleaner.
-    pub bytes_written: u64,
     /// Number of cleaning passes.
     pub passes: u64,
     /// Histogram of the utilizations at which non-empty segments were

@@ -115,10 +115,6 @@ fn snapshot_reproduces_table2_and_table4_exactly() {
         snap.counter("lfs.cleaner.bytes_read"),
         stats.cleaner.bytes_read
     );
-    assert_eq!(
-        snap.counter("lfs.cleaner.bytes_written"),
-        stats.cleaner.bytes_written
-    );
     assert_eq!(snap.counter("lfs.cleaner.passes"), stats.cleaner.passes);
     assert_eq!(
         snap.gauge("lfs.cleaner.utilization_sum"),

@@ -67,20 +67,10 @@ impl AccessPattern {
     }
 }
 
-/// Which policy selects segments for cleaning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// Always the least-utilized segments.
-    Greedy,
-    /// Highest `(1-u)*age/(1+u)` first (§3.5).
-    CostBenefit,
-    /// Population-normalized scoring mirroring `lfs_core`'s adaptive
-    /// policy: `(1-u)/(1+u) * (1 + (age/mean_age) * mean_util)` over the
-    /// candidate population, with pacing scaled by the clean-segment
-    /// deficit. On an emptyish disk it behaves like greedy; on a full
-    /// one it leans on age like cost-benefit.
-    Adaptive,
-}
+/// Which policy selects segments for cleaning: the real file system's
+/// policy type, so the simulator ranks segments with the same
+/// [`Policy::rank`] formulas.
+pub use lfs_core::CleaningPolicy as Policy;
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 
+use lfs_core::cleaner::PolicyCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -387,8 +388,8 @@ impl Simulator {
         while self.clean_segments_available() < target {
             let before = self.clean_segments_available();
             // The adaptive policy scores against the candidate
-            // population: mean utilization, mean age, and the
-            // clean-segment fraction (see `lfs_core::cleaner::Adaptive`).
+            // population: mean utilization and mean age (see
+            // `Policy::rank`).
             let (mean_util, mean_age) = if self.cfg.policy == Policy::Adaptive {
                 let mut n = 0u64;
                 let (mut us, mut ages) = (0.0f64, 0.0f64);
@@ -407,6 +408,13 @@ impl Simulator {
             } else {
                 (0.5, 1.0)
             };
+            // Pacing below uses its own target-fill deficit, so the
+            // clean fraction is not needed here.
+            let ctx = PolicyCtx {
+                mean_util,
+                mean_age,
+                clean_frac: 0.0,
+            };
             let mut ranked: Vec<(f64, u32)> = self
                 .segs
                 .iter()
@@ -414,16 +422,8 @@ impl Simulator {
                 .filter(|&(i, s)| !s.clean && !is_head(self, i) && s.live < spb)
                 .map(|(i, s)| {
                     let u = s.live as f64 * inv_spb;
-                    let age = (self.clock.saturating_sub(s.youngest) + 1) as f64;
-                    let score = match self.cfg.policy {
-                        Policy::Greedy => 1.0 - u,
-                        Policy::CostBenefit => (1.0 - u) * age / (1.0 + u),
-                        Policy::Adaptive => {
-                            let age_norm = age / mean_age.max(1.0);
-                            (1.0 - u) / (1.0 + u) * (1.0 + age_norm * mean_util)
-                        }
-                    };
-                    (score, i as u32)
+                    let age = self.clock.saturating_sub(s.youngest) + 1;
+                    (self.cfg.policy.rank(u, age, &ctx), i as u32)
                 })
                 .collect();
             if ranked.is_empty() {

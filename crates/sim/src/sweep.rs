@@ -1,10 +1,13 @@
-//! Parallel sweeps over independent simulator points.
+//! Parallel sweeps over independent benchmark points.
 //!
 //! Regenerating the paper's Figures 4–7 means running the §3.5 simulator
 //! to stabilisation at many independent `(utilization, pattern, policy)`
 //! points. Each point owns its own [`SimConfig`] — including its own PRNG
 //! seed — so the points share no state whatsoever and the sweep is
-//! embarrassingly parallel.
+//! embarrassingly parallel. The figure and table binaries that drive a
+//! real file system (Figures 8 and 9, Tables 2 and 3) use the same
+//! [`map_indexed`] helper: each of their points formats its own disk and
+//! runs its own workload.
 //!
 //! Determinism is unaffected by parallelism: every point's RNG stream is
 //! derived only from its own config's seed, never from thread scheduling,
@@ -13,15 +16,16 @@
 //! this.
 //!
 //! Thread count defaults to the host's available parallelism and can be
-//! overridden with the `LFS_SWEEP_THREADS` environment variable.
+//! overridden with the `LFS_SWEEP_THREADS` environment variable
+//! (`LFS_SWEEP_THREADS=1` forces the serial path).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::{SimConfig, SimResult, Simulator};
 
-/// Worker-thread count for [`run`]: `LFS_SWEEP_THREADS` if set, else the
-/// host's available parallelism.
+/// Worker-thread count: `LFS_SWEEP_THREADS` if set, else the host's
+/// available parallelism.
 pub fn default_threads() -> usize {
     if let Some(n) = std::env::var("LFS_SWEEP_THREADS")
         .ok()
@@ -34,27 +38,23 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every point to stabilisation on the calling thread, in order.
-pub fn run_serial(points: &[SimConfig]) -> Vec<SimResult> {
-    points
-        .iter()
-        .map(|&cfg| Simulator::new(cfg).run_until_stable())
-        .collect()
-}
-
-/// Runs every point to stabilisation across `threads` worker threads.
+/// Evaluates `f(0..n)` across `threads` workers and returns the results
+/// indexed exactly like the inputs.
 ///
-/// Results come back indexed exactly like `points`: workers pull the next
-/// unclaimed index from a shared counter and deposit the result in that
-/// point's slot, so scheduling affects only wall-clock, never content or
-/// order.
-pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
-    let n = points.len();
+/// Workers pull the next unclaimed index from a shared counter and
+/// deposit the result in that index's slot, so scheduling affects only
+/// wall-clock, never content or order — provided `f` is a pure function
+/// of its index.
+pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 || n <= 1 {
-        return run_serial(points);
+        return (0..n).map(f).collect();
     }
-    let slots: Vec<Mutex<Option<SimResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -63,7 +63,7 @@ pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
                 if i >= n {
                     break;
                 }
-                let result = Simulator::new(points[i]).run_until_stable();
+                let result = f(i);
                 *slots[i].lock().expect("sweep slot poisoned") = Some(result);
             });
         }
@@ -76,6 +76,19 @@ pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
                 .expect("sweep worker skipped a point")
         })
         .collect()
+}
+
+/// Runs every point to stabilisation on the calling thread, in order.
+pub fn run_serial(points: &[SimConfig]) -> Vec<SimResult> {
+    run_parallel(points, 1)
+}
+
+/// Runs every point to stabilisation across `threads` worker threads,
+/// returning the results in the order of `points`.
+pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
+    map_indexed(points.len(), threads, |i| {
+        Simulator::new(points[i]).run_until_stable()
+    })
 }
 
 /// Runs every point with [`default_threads`] workers.
@@ -101,11 +114,16 @@ mod tests {
         }
     }
 
-    /// The satellite regression test: a parallel sweep must be
-    /// bit-identical to the serial loop at every point, regardless of
-    /// how many workers raced over the work queue.
+    /// A parallel sweep must be bit-identical to the serial loop at every
+    /// point, regardless of how many workers raced over the work queue.
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
+        // The generic helper the real-file-system binaries use keeps input
+        // order for any worker count, and a single point runs inline.
+        let in_order: Vec<u64> = (0..17).map(|i| (i as u64) * 31 + 7).collect();
+        assert_eq!(map_indexed(17, 8, |i| (i as u64) * 31 + 7), in_order);
+        assert_eq!(map_indexed(1, 8, |i| i), vec![0]);
+
         let points: Vec<SimConfig> = [0.3, 0.5, 0.75].into_iter().map(point).collect();
         let serial = run_serial(&points);
         let parallel = run_parallel(&points, 4);

@@ -114,15 +114,18 @@ fn print_cleaner(snap: &MetricsSnapshot) -> bool {
         .copied()
         .unwrap_or("?");
     // Paper write cost: (new + cleaner reads + cleaner writes) / new,
-    // with "new" the non-cleaner log traffic.
-    let new_bytes: u64 = snap
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("lfs.log_bytes."))
-        .map(|(_, &v)| v)
-        .sum();
+    // with "new" the non-cleaner log traffic and the cleaner's writes its
+    // own log traffic, both summed over block kinds.
+    let log_bytes = |prefix: &str| -> u64 {
+        snap.counters
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(_, &v)| v)
+            .sum()
+    };
+    let new_bytes = log_bytes("lfs.log_bytes.");
     let cr = c("lfs.cleaner.bytes_read").unwrap_or(0);
-    let cw = c("lfs.cleaner.bytes_written").unwrap_or(0);
+    let cw = log_bytes("lfs.cleaner_log_bytes.");
     let wc = if new_bytes > 0 {
         format!("{:.2}", (new_bytes + cr + cw) as f64 / new_bytes as f64)
     } else {

@@ -2,15 +2,17 @@
 
 use std::process::Command;
 
-fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lfs-tools-test-{}", std::process::id()));
+/// A scratch directory of the test's own: tests run in parallel and each
+/// removes its directory when done.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("lfs-tools-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
 
 #[test]
 fn mklfs_dump_fsck_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("pipeline");
     let img = dir.join("disk.img");
     let img_s = img.to_str().unwrap();
 
@@ -71,7 +73,7 @@ fn mklfs_dump_fsck_pipeline() {
 
 #[test]
 fn mklfs_512kb_segments() {
-    let dir = tmpdir();
+    let dir = tmpdir("seg512");
     let img = dir.join("disk512.img");
     let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
         .args([img.to_str().unwrap(), "8", "--seg-kb", "512"])
@@ -84,7 +86,7 @@ fn mklfs_512kb_segments() {
 
 #[test]
 fn lfsck_rejects_garbage() {
-    let dir = tmpdir();
+    let dir = tmpdir("garbage");
     let img = dir.join("junk.img");
     std::fs::write(&img, vec![0xa5u8; 64 * 4096]).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_lfsck"))
@@ -97,8 +99,7 @@ fn lfsck_rejects_garbage() {
 
 #[test]
 fn corrupt_image_is_diagnosed_with_exit_code_2() {
-    let dir = tmpdir().join("corrupt-exit2");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("corrupt-exit2");
     let img = dir.join("junk.img");
     std::fs::write(&img, vec![0x5au8; 80 * 4096]).unwrap();
     for bin in [env!("CARGO_BIN_EXE_lfsck"), env!("CARGO_BIN_EXE_lfsdump")] {
@@ -124,8 +125,7 @@ fn corrupt_image_is_diagnosed_with_exit_code_2() {
 fn torn_checkpoints_are_corrupt_not_crash() {
     // A valid superblock with both checkpoint regions trashed must yield a
     // clean diagnostic and exit 2, not a panic (exit 101).
-    let dir = tmpdir().join("torn-cp");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("torn-cp");
     let img = dir.join("torn.img");
     let img_s = img.to_str().unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
@@ -162,4 +162,53 @@ fn tools_usage_errors() {
         let out = Command::new(bin).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{bin} without args");
     }
+}
+
+/// `lfstop`'s write cost is the paper's `(new + cleaner reads + cleaner
+/// writes) / new`: on a run where the cleaner relocated live blocks, the
+/// printed figure must include the bytes it wrote back.
+#[test]
+fn lfstop_write_cost_counts_cleaner_writes() {
+    use vfs::FileSystem;
+    let dir = tmpdir("lfstop-write-cost");
+    let mut fs =
+        lfs_core::Lfs::format(blockdev::MemDisk::new(4096), lfs_core::LfsConfig::small()).unwrap();
+    fs.set_obs(lfs_obs::Obs::recording(1024));
+    for i in 0..32 {
+        fs.write_file(&format!("/f{i}"), &vec![i as u8; 3 * 4096])
+            .unwrap();
+    }
+    fs.sync().unwrap();
+    for i in (0..32).step_by(2) {
+        fs.unlink(&format!("/f{i}")).unwrap();
+    }
+    fs.sync().unwrap();
+    assert!(
+        fs.clean_pass().unwrap() > 0,
+        "cleaner found nothing to clean"
+    );
+    let stats = *fs.stats();
+    assert!(
+        stats.log_bytes_cleaner(lfs_core::BlockKind::Data) > 0,
+        "the cleaner relocated no live blocks"
+    );
+
+    let snap = dir.join("metrics.json");
+    std::fs::write(&snap, fs.metrics_snapshot().unwrap().to_json_string()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_lfstop"))
+        .arg(&snap)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "lfstop: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let expected = format!("write cost {:.2}", stats.write_cost());
+    assert!(
+        stdout.contains(&expected),
+        "want {expected:?} in:\n{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
