@@ -2,11 +2,12 @@
 //! reaches the device through the zero-copy gather writer. The device is
 //! a `MemDisk` with no timing model, so the measurement is host-side
 //! copying and allocation only. Each timed phase includes the syncs that
-//! flush it, so the chunk writer dominates the measurement.
+//! flush it, so the chunk writer dominates the measurement. A separate
+//! bench times the per-block checksum every logged block pays.
 
-use blockdev::MemDisk;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lfs_core::Lfs;
+use blockdev::{MemDisk, BLOCK_SIZE};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use lfs_core::{block_checksum, Lfs};
 use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
 const DISK_MB: u64 = 64;
@@ -58,9 +59,21 @@ fn bench_small_flush(c: &mut Criterion) {
     g.finish();
 }
 
+/// One 4 KiB block's checksum: the host cost a flush pays per block it
+/// writes, the cleaner per live block it relocates, and roll-forward per
+/// block it replays.
+fn bench_block_checksum(c: &mut Criterion) {
+    let block: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i * 31 + 7) as u8).collect();
+    let mut g = c.benchmark_group("block_checksum_4k");
+    g.bench_function("word_hash", |b| {
+        b.iter(|| block_checksum(black_box(&block)))
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_seq_flush, bench_small_flush
+    targets = bench_seq_flush, bench_small_flush, bench_block_checksum
 }
 criterion_main!(benches);

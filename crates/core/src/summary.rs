@@ -16,7 +16,7 @@
 use blockdev::BLOCK_SIZE;
 use vfs::{FsError, FsResult, Ino};
 
-use crate::codec::{checksum, Reader, Writer};
+use crate::codec::{checksum_pair, Reader, Writer};
 
 const MAGIC: u32 = 0x5347_5355; // "SUGS"
 const HEADER_SIZE: usize = 40;
@@ -235,15 +235,10 @@ impl Summary {
         })
     }
 
+    /// Checksum of the header (minus the checksum field itself) and the
+    /// entry bytes.
     fn compute_checksum(buf: &[u8], n: usize) -> u64 {
-        let mut h = checksum(&buf[..32]);
-        // Mix in the entry bytes (skipping the checksum field itself).
-        let entries = &buf[HEADER_SIZE..HEADER_SIZE + n * ENTRY_SIZE];
-        for &b in entries {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        checksum_pair(&buf[..32], &buf[HEADER_SIZE..HEADER_SIZE + n * ENTRY_SIZE])
     }
 }
 

@@ -12,7 +12,10 @@ use crate::codec::{checksum, Reader, Writer};
 use crate::layout::{DiskAddr, CR0_ADDR, CR1_ADDR, SEGMENTS_START};
 
 const MAGIC: u64 = 0x4c46_5353_5052_3931; // "LFSSPR91"
-const VERSION: u32 = 1;
+/// On-disk format version. Version 2 replaced version 1's FNV-1a
+/// checksum with [`crate::codec::checksum`]'s word hash; mount refuses
+/// any other version.
+const VERSION: u32 = 2;
 
 /// The on-disk superblock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +91,11 @@ impl Superblock {
         if r.get_u64() != MAGIC {
             return Err(FsError::Corrupt("superblock: bad magic".into()));
         }
-        if r.get_u32() != VERSION {
-            return Err(FsError::Corrupt("superblock: bad version".into()));
+        let version = r.get_u32();
+        if version != VERSION {
+            return Err(FsError::Corrupt(format!(
+                "superblock: format version {version}, expected {VERSION}"
+            )));
         }
         let seg_blocks = r.get_u32();
         let nsegments = r.get_u32();

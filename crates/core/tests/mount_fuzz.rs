@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use blockdev::{MemDisk, BLOCK_SIZE};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
-use vfs::FileSystem;
+use vfs::{FileSystem, FsError};
 
 fn cfg() -> LfsConfig {
     LfsConfig::small()
@@ -91,5 +91,20 @@ proptest! {
         let cut = keep.index(img.len());
         img[cut..].fill(fill);
         mount_must_not_panic(img);
+    }
+}
+
+/// An image in on-disk format version 1 (FNV-1a checksums) is refused
+/// with a corruption error rather than read with the wrong checksum.
+#[test]
+fn format_version_1_image_is_refused() {
+    let mut img = base_image().to_vec();
+    // The superblock's version word follows its 8-byte magic.
+    assert_eq!(img[8..12], 2u32.to_le_bytes());
+    img[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match Lfs::mount(MemDisk::from_image(img), cfg()) {
+        Err(FsError::Corrupt(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+        Err(e) => panic!("expected a corruption error, got {e}"),
+        Ok(_) => panic!("a format version 1 image mounted"),
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! 1. **Golden bit-identity** — a fixed deterministic workload on a
 //!    `SimDisk` (and on a two-shard `VolumeSet`) must produce the exact
-//!    image hash and simulated service-time statistics recorded from the
-//!    tree immediately before the stream machinery landed. Any code path
-//!    that perturbs single-stream layout, cleaning, or timing trips this.
+//!    image hash and simulated service-time statistics of the pre-stream
+//!    tree (see [`GOLDEN_SINGLE`]). Any code path that perturbs
+//!    single-stream layout, cleaning, or timing trips this.
 //! 2. **Content equivalence** — multi-stream configurations must agree
 //!    with single-stream on every byte of every file, across random
 //!    workloads and a remount (streams change placement, never contents).
@@ -77,11 +77,15 @@ fn golden_workload<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) {
     fs.sync().expect("final sync");
 }
 
-/// Golden values captured from the tree immediately before PR 10 (the
-/// last commit with single write point per shard and no stream config).
-/// `streams = 1` must reproduce them bit for bit.
+/// Golden values of the last tree with a single write point per shard
+/// and no stream config; `streams = 1` must reproduce them bit for bit.
+/// The service-time statistics are as captured from that tree. The image
+/// hash was re-recorded for on-disk format version 2, whose image differs
+/// from that tree's only in checksum-bearing fields: the superblock
+/// version and checksum, the checkpoint checksums, and each summary's
+/// header checksum and per-entry block checksums.
 const GOLDEN_SINGLE: (u64, u64, u64, u64, u64, u64) = (
-    0xfa44_cc75_7bf3_af8f, // image fnv1a
+    0x72a1_ad69_b7a0_711c, // image fnv1a
     0x0000_0002_6a92_0d4d, // busy_ns
     0x0000_0001_56e1_218f, // positioning_ns
     0x179,                 // seeks
@@ -89,7 +93,7 @@ const GOLDEN_SINGLE: (u64, u64, u64, u64, u64, u64) = (
     0x0049_d000,           // bytes_written
 );
 const GOLDEN_TWO_SHARD: (u64, u64, u64, u64, u64, u64) = (
-    0x6a56_d546_d8c4_513c,
+    0x5d13_abdb_ed4f_48dc,
     0x0000_0002_530e_0392,
     0x0000_0001_639b_f060,
     0x161,
